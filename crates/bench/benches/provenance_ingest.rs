@@ -3,8 +3,10 @@
 //! The paper's Tables 1–2 are populated by the always-on tracing pipeline:
 //! trace events are flushed off the request path into the provenance
 //! database. This benchmark measures (a) how fast the provenance store
-//! ingests transaction traces (rows of Table 1 + Table 2 per second), and
-//! (b) the cost of the §5 privacy operations — redacting one user's
+//! ingests transaction traces (rows of Table 1 + Table 2 per second),
+//! (b) how fast it ingests whole requests (handler start, transaction,
+//! handler end), whose per-request cost must not grow with history, and
+//! (c) the cost of the §5 privacy operations — redacting one user's
 //! provenance and applying a retention cutoff — as the store grows.
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion, Throughput};
@@ -31,35 +33,64 @@ fn fresh_store() -> ProvenanceStore {
     store
 }
 
-/// Builds `n` synthetic transaction traces (one read + one insert each).
+/// One synthetic transaction trace (one read + one insert) of request
+/// `R{i}`.
+fn synthetic_trace(i: usize, timestamp: i64) -> TraceEvent {
+    let user = format!("U{}", i % 500);
+    let forum = format!("F{}", i % 50);
+    TraceEvent::Txn(Box::new(TxnTrace {
+        txn_id: i as u64 + 1,
+        ctx: TxnContext::new(format!("R{i}"), "subscribeUser", "func:DB.insert"),
+        timestamp,
+        snapshot_ts: i as u64,
+        commit_ts: i as u64 + 1,
+        committed: true,
+        reads: vec![ReadTrace {
+            table: "forum_sub".into(),
+            query: format!("Check if ({user}, {forum}) exists"),
+            read_ts: i as u64,
+            rows: vec![],
+        }],
+        writes: vec![ChangeRecord::insert(
+            "forum_sub",
+            Key::single(format!("S{i}")),
+            Row::from(vec![
+                Value::Text(format!("S{i}")),
+                Value::Text(user),
+                Value::Text(forum),
+            ]),
+        )],
+    }))
+}
+
+/// Builds `n` synthetic transaction traces.
 fn synthetic_traces(n: usize) -> Vec<TraceEvent> {
+    (0..n).map(|i| synthetic_trace(i, i as i64 + 1)).collect()
+}
+
+/// Builds `n` request-shaped event streams, each `HandlerStart` + one
+/// transaction + `HandlerEnd`, as the always-on tracer emits them.
+fn synthetic_requests(n: usize) -> Vec<TraceEvent> {
     (0..n)
-        .map(|i| {
-            let user = format!("U{}", i % 500);
-            let forum = format!("F{}", i % 50);
-            TraceEvent::Txn(Box::new(TxnTrace {
-                txn_id: i as u64 + 1,
-                ctx: TxnContext::new(format!("R{i}"), "subscribeUser", "func:DB.insert"),
-                timestamp: i as i64 + 1,
-                snapshot_ts: i as u64,
-                commit_ts: i as u64 + 1,
-                committed: true,
-                reads: vec![ReadTrace {
-                    table: "forum_sub".into(),
-                    query: format!("Check if ({user}, {forum}) exists"),
-                    read_ts: i as u64,
-                    rows: vec![],
-                }],
-                writes: vec![ChangeRecord::insert(
-                    "forum_sub",
-                    Key::single(format!("S{i}")),
-                    Row::from(vec![
-                        Value::Text(format!("S{i}")),
-                        Value::Text(user),
-                        Value::Text(forum),
-                    ]),
-                )],
-            }))
+        .flat_map(|i| {
+            let ts = 3 * i as i64;
+            [
+                TraceEvent::HandlerStart {
+                    req_id: format!("R{i}"),
+                    handler: "subscribeUser".into(),
+                    parent: None,
+                    args: format!("{{\"user\":\"U{}\"}}", i % 500),
+                    timestamp: ts + 1,
+                },
+                synthetic_trace(i, ts + 2),
+                TraceEvent::HandlerEnd {
+                    req_id: format!("R{i}"),
+                    handler: "subscribeUser".into(),
+                    output: "true".into(),
+                    ok: true,
+                    timestamp: ts + 3,
+                },
+            ]
         })
         .collect()
 }
@@ -74,6 +105,29 @@ fn bench_ingest(c: &mut Criterion) {
                 |(store, events)| {
                     store.ingest(events);
                     assert_eq!(store.txn_count(), batch);
+                },
+                BatchSize::SmallInput,
+            );
+        });
+    }
+    group.finish();
+}
+
+/// Ingest of whole requests: the per-request cost (time / elements)
+/// must stay flat as the batch, and so the history, grows tenfold.
+fn bench_ingest_requests(c: &mut Criterion) {
+    let mut group = c.benchmark_group("provenance_ingest/requests");
+    group.sample_size(10);
+    for &requests in &[1_000usize, 10_000] {
+        group.throughput(Throughput::Elements(requests as u64));
+        group.bench_function(BenchmarkId::from_parameter(requests), |b| {
+            b.iter_batched(
+                || (fresh_store(), synthetic_requests(requests)),
+                |(store, events)| {
+                    store.ingest(events);
+                    assert_eq!(store.stats().handler_invocations, requests);
+                    // Returned, so the store is dropped outside the timing.
+                    store
                 },
                 BatchSize::SmallInput,
             );
@@ -130,5 +184,11 @@ fn bench_retention(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_ingest, bench_redaction, bench_retention);
+criterion_group!(
+    benches,
+    bench_ingest,
+    bench_ingest_requests,
+    bench_redaction,
+    bench_retention
+);
 criterion_main!(benches);

@@ -1,15 +1,15 @@
 //! The provenance store: ingest of trace events into queryable tables plus
 //! a detailed trace archive used by replay and retroactive programming.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::RwLock;
 
 use trod_db::{
-    CommittedTxn, Database, DbResult, Predicate, RetentionPolicy, Row, Schema, StorageError,
-    SyncMode, Ts, TxnId, Value, Wal, WalOptions, WalRecord,
+    CommittedTxn, Database, DbResult, Key, RetentionPolicy, Row, Schema, StorageError, SyncMode,
+    Ts, TxnId, Value, Wal, WalOptions, WalRecord,
 };
 use trod_query::{QueryEngine, QueryResultT, ResultSet};
 use trod_trace::{TraceEvent, TraceSink, TxnTrace};
@@ -58,7 +58,8 @@ pub struct ProvenanceStats {
 /// Relational tables (queryable through SQL) hold what the paper's Tables
 /// 1–2 hold; a parallel in-memory archive keeps the full [`TxnTrace`]
 /// records (read rows, CDC before/after images) that the replay and
-/// retroactive engines consume.
+/// retroactive engines consume. Ingest cost per event does not depend on
+/// history size: no event scans a table.
 pub struct ProvenanceStore {
     pub(crate) db: Database,
     engine: QueryEngine,
@@ -66,13 +67,15 @@ pub struct ProvenanceStore {
     pub(crate) table_map: RwLock<HashMap<String, String>>,
     /// Detailed transaction archive ordered by trace timestamp.
     pub(crate) archive: RwLock<Vec<TxnTrace>>,
-    /// Handler invocation archive.
+    /// Handler invocation archive, in ingest order; also how a `HandlerEnd`
+    /// finds its open invocation's `Requests` key, newest-first: the search
+    /// passes only invocations begun since (all of them for an unmatched end).
     pub(crate) requests: RwLock<Vec<RequestRecord>>,
     next_event_id: AtomicI64,
     pub(crate) stats: RwLock<ProvenanceStats>,
     /// Transactions whose provenance has been partially redacted (GDPR
     /// erasure, §5); replay degrades gracefully for these.
-    pub(crate) redacted_txns: RwLock<std::collections::HashSet<TxnId>>,
+    pub(crate) redacted_txns: RwLock<HashSet<TxnId>>,
     /// Aligned transaction-log entries the application database spilled
     /// here (via its [`RetentionPolicy`]) before truncating them — the
     /// part of the aligned history that no longer exists in the live
@@ -124,7 +127,7 @@ impl ProvenanceStore {
             requests: RwLock::new(Vec::new()),
             next_event_id: AtomicI64::new(1),
             stats: RwLock::new(ProvenanceStats::default()),
-            redacted_txns: RwLock::new(std::collections::HashSet::new()),
+            redacted_txns: RwLock::new(HashSet::new()),
             spilled: RwLock::new(Vec::new()),
             spill_wal: RwLock::new(None),
             durable_spill_errors: AtomicUsize::new(0),
@@ -385,36 +388,33 @@ impl ProvenanceStore {
         ok: bool,
         timestamp: i64,
     ) {
-        // Update the relational row: the open invocation with the latest
-        // StartTs for this (ReqId, HandlerName).
-        let pred = Predicate::eq("ReqId", req_id)
-            .and(Predicate::eq("HandlerName", handler))
-            .and(Predicate::IsNull("EndTs".into()));
+        // The newest open archive record for this (ReqId, HandlerName)
+        // supplies StartTs, completing the row's primary key.
+        let mut requests = self.requests.write();
+        let Some(rec) = requests
+            .iter_mut()
+            .rev()
+            .find(|r| r.req_id == req_id && r.handler == handler && r.end_ts.is_none())
+        else {
+            return;
+        };
+        let start = Value::Timestamp(rec.start_ts);
+        let key = Key::new(vec![req_id.into(), handler.into(), start]);
         let mut txn = self.db.begin();
-        if let Ok(mut rows) = txn.scan(REQUESTS_TABLE, &pred) {
-            rows.sort_by_key(|(_, r)| r[6].as_int().unwrap_or(0));
-            if let Some((key, row)) = rows.pop() {
-                let mut updated = (*row).clone();
-                updated.set(4, Value::Text(output.clone()));
-                updated.set(5, Value::Bool(ok));
-                updated.set(7, Value::Timestamp(timestamp));
-                let _ = txn.update(REQUESTS_TABLE, &key, updated);
-            }
+        let open_row = txn.get(REQUESTS_TABLE, &key).ok().flatten();
+        if let Some(row) = open_row.filter(|row| row[7].is_null()) {
+            let mut updated = (*row).clone();
+            updated.set(4, Value::Text(output.clone()));
+            updated.set(5, Value::Bool(ok));
+            updated.set(7, Value::Timestamp(timestamp));
+            let _ = txn.update(REQUESTS_TABLE, &key, updated);
         }
         txn.commit()
             .expect("provenance ingest commit cannot conflict");
 
-        // Update the archive record.
-        let mut requests = self.requests.write();
-        if let Some(rec) = requests
-            .iter_mut()
-            .rev()
-            .find(|r| r.req_id == req_id && r.handler == handler && r.end_ts.is_none())
-        {
-            rec.output = Some(output);
-            rec.ok = Some(ok);
-            rec.end_ts = Some(timestamp);
-        }
+        rec.output = Some(output);
+        rec.ok = Some(ok);
+        rec.end_ts = Some(timestamp);
     }
 
     fn ingest_external_call(
@@ -447,13 +447,13 @@ impl ProvenanceStore {
 
     /// All request ids observed, in first-seen order.
     pub fn request_ids(&self) -> Vec<String> {
-        let mut seen = Vec::new();
-        for rec in self.requests.read().iter() {
-            if !seen.contains(&rec.req_id) {
-                seen.push(rec.req_id.clone());
-            }
-        }
-        seen
+        let mut seen = HashSet::new();
+        self.requests
+            .read()
+            .iter()
+            .filter(|rec| seen.insert(rec.req_id.as_str()))
+            .map(|rec| rec.req_id.clone())
+            .collect()
     }
 
     /// Handler invocation records for one request, in start order.
@@ -663,7 +663,7 @@ impl TraceSink for ProvenanceStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trod_db::{row, DataType};
+    use trod_db::{row, DataType, Predicate};
     use trod_kv::Session;
     use trod_trace::{Tracer, TxnContext};
 
@@ -766,6 +766,22 @@ mod tests {
         let calls = store.query("SELECT Service FROM ExternalCalls").unwrap();
         assert_eq!(calls.len(), 1);
         assert_eq!(store.stats().external_calls, 1);
+    }
+
+    #[test]
+    fn request_ids_keep_first_seen_order_over_repeats_and_interleaving() {
+        let store = ProvenanceStore::new();
+        let tracer = Tracer::new();
+        for req in ["R2", "R1", "R2", "R3", "R1", "R3", "R2"] {
+            tracer.handler_start(req, "h", None, "{}");
+            tracer.handler_end(req, "h", "ok", true);
+        }
+        tracer.handler_start("R4", "outer", None, "{}");
+        tracer.handler_start("R1", "h", None, "{}");
+        tracer.handler_start("R4", "inner", Some("outer"), "{}");
+        store.ingest(tracer.drain());
+        assert_eq!(store.request_ids(), vec!["R2", "R1", "R3", "R4"]);
+        assert_eq!(store.all_request_records().len(), 10);
     }
 
     #[test]

@@ -30,9 +30,12 @@ pub struct LoadReport {
     /// Requests that failed with a retryable error (conflicts under
     /// contention — expected for the hot-key workloads).
     pub retryable_failures: usize,
-    /// Requests that failed fatally (should be zero for the shipped
-    /// workloads; surfaced so tests can assert on it).
+    /// Requests that failed fatally: a broken wire mapping, or an
+    /// application error the workload's handlers raise on purpose.
     pub fatal_failures: usize,
+    /// The `(code, message)` of every fatal failure, so callers can tell
+    /// documented application errors from real faults.
+    pub fatal_errors: Vec<(i64, String)>,
     pub elapsed: Duration,
 }
 
@@ -64,39 +67,44 @@ pub fn drive_workload(
 
     let ok = Arc::new(AtomicUsize::new(0));
     let retryable = Arc::new(AtomicUsize::new(0));
-    let fatal = Arc::new(AtomicUsize::new(0));
     let started = Instant::now();
     let mut threads = Vec::with_capacity(connections);
     for shard in shards {
         let addr = addr.to_string();
         let ok = ok.clone();
         let retryable = retryable.clone();
-        let fatal = fatal.clone();
-        threads.push(std::thread::spawn(move || -> Result<(), ClientError> {
+        threads.push(std::thread::spawn(move || {
             let mut client = Client::connect(&addr)?;
+            let mut fatal = Vec::new();
             for (handler, args) in shard {
                 let params = Json::obj(vec![("handler", Json::str(handler)), ("args", args)]);
                 match client.call("trod_invoke", params) {
-                    Ok(_) => ok.fetch_add(1, Ordering::Relaxed),
-                    Err(ClientError::Rpc(f)) if f.retryable => {
-                        retryable.fetch_add(1, Ordering::Relaxed)
+                    Ok(_) => {
+                        ok.fetch_add(1, Ordering::Relaxed);
                     }
-                    Err(ClientError::Rpc(_)) => fatal.fetch_add(1, Ordering::Relaxed),
+                    Err(ClientError::Rpc(f)) if f.retryable => {
+                        retryable.fetch_add(1, Ordering::Relaxed);
+                    }
+                    Err(ClientError::Rpc(f)) => fatal.push((f.code, f.message)),
                     Err(e) => return Err(e),
-                };
+                }
             }
-            Ok(())
+            Ok(fatal)
         }));
     }
+    let mut fatal_errors = Vec::new();
     for t in threads {
-        t.join()
-            .map_err(|_| ClientError::Protocol("load worker panicked".into()))??;
+        fatal_errors.extend(
+            t.join()
+                .map_err(|_| ClientError::Protocol("load worker panicked".into()))??,
+        );
     }
     Ok(LoadReport {
         requests: total,
         ok: ok.load(Ordering::Relaxed),
         retryable_failures: retryable.load(Ordering::Relaxed),
-        fatal_failures: fatal.load(Ordering::Relaxed),
+        fatal_failures: fatal_errors.len(),
+        fatal_errors,
         elapsed: started.elapsed(),
     })
 }
